@@ -19,11 +19,7 @@ func (c *CPU) dispatch() {
 		if u.dispReady > c.cycle {
 			return
 		}
-		need := 1
-		if c.needsSelect(u) {
-			need = 2
-		}
-		if c.robCount+need > len(c.rob) {
+		if c.robCount+c.dispatchNeed(u) > len(c.rob) {
 			c.dbgRobFull++
 			c.acctFull = true
 			return
@@ -31,6 +27,15 @@ func (c *CPU) dispatch() {
 		c.fqPopFront()
 		c.rename(u)
 	}
+}
+
+// dispatchNeed is the number of window slots dispatching u takes: two
+// when a select µop is injected behind it, else one.
+func (c *CPU) dispatchNeed(u *uop) int {
+	if c.needsSelect(u) {
+		return 2
+	}
+	return 1
 }
 
 // needsSelect reports whether dispatching u injects a select µop.

@@ -259,15 +259,20 @@ func (c *CPU) stepOrSkip(limit uint64) {
 }
 
 // skippable returns how many cycles can be skipped from the current
-// one, or 0 if any pipeline stage has work this cycle. A cycle is dead
-// when no completion event is due, the window head cannot retire,
-// nothing is ready to issue, the fetch queue is empty, and fetch is
-// stalled (I-cache miss, BTB bubble, HALT, or a stuck wrong path).
-// During a dead stretch the machine state is frozen except for the
-// cycle counter, so the per-cycle accounting attribution is constant —
-// bulkAccount exploits exactly that. The jump target is the earliest
-// future event: the next completion, the fetch-resume cycle (also an
-// attribution boundary: structural → fetch-stall), or the caller's
+// one, or 0 if any pipeline stage can change state this cycle. A cycle
+// is dead when no completion event is due, the window head cannot
+// retire, nothing is ready to issue, dispatch is dead (the fetch queue
+// is empty, its front µop is still in the front-end pipe, or the window
+// lacks room for it), and fetch is dead (HALT, before its resume cycle,
+// a stuck wrong path, or a full fetch queue). Window-full stalls behind
+// a long miss — most of a memory-bound run — are dead cycles with a
+// full fetch queue. During a dead stretch the machine state is frozen
+// except for the cycle counter, so the per-cycle accounting attribution
+// is constant — bulkAccount exploits exactly that. The jump target is
+// the earliest future event: the next completion, the fetch-resume
+// cycle (also an attribution boundary: structural → fetch-stall), the
+// front µop's dispatch-ready cycle (an attribution boundary too:
+// dispatch reports a full window only for a ready µop), or the caller's
 // cycle limit.
 func (c *CPU) skippable(limit uint64) uint64 {
 	if len(c.compQ) > 0 && c.compQ[0].cycle <= c.cycle {
@@ -279,21 +284,28 @@ func (c *CPU) skippable(limit uint64) uint64 {
 	if c.robCount > 0 && c.rob[c.robHead].done {
 		return 0
 	}
-	if len(c.readyQ) > 0 || c.fqCount > 0 {
+	if len(c.readyQ) > 0 {
 		return 0
 	}
-	if !c.fetchHalted && c.cycle >= c.nextFetch && !c.shadowStuck() {
+	if !c.fetchHalted && c.cycle >= c.nextFetch && c.fqCount < len(c.fq) && !c.shadowStuck() {
 		return 0
 	}
 	target := limit
-	if len(c.compQ) > 0 && c.compQ[0].cycle < target {
-		target = c.compQ[0].cycle
+	if c.fqCount > 0 {
+		if u := c.fqFront(); u.dispReady > c.cycle {
+			target = min(target, u.dispReady)
+		} else if c.robCount+c.dispatchNeed(u) <= len(c.rob) {
+			return 0
+		}
 	}
-	if len(c.nextComp) > 0 && c.nextComp[0].cycle < target {
-		target = c.nextComp[0].cycle
+	if len(c.compQ) > 0 {
+		target = min(target, c.compQ[0].cycle)
 	}
-	if c.cycle < c.nextFetch && c.nextFetch < target {
-		target = c.nextFetch
+	if len(c.nextComp) > 0 {
+		target = min(target, c.nextComp[0].cycle)
+	}
+	if c.cycle < c.nextFetch {
+		target = min(target, c.nextFetch)
 	}
 	if target <= c.cycle {
 		return 0
@@ -315,33 +327,45 @@ func (c *CPU) shadowStuck() bool {
 	return pc < 0 || pc >= len(c.prog.Code)
 }
 
-// bulkAccount attributes n skipped cycles at once, choosing the same
-// bucket account() would have chosen for each of them: nothing retired
-// (acctRetired = 0), dispatch never blocked (acctFull = false), and
-// every input to the decision tree is frozen for the whole stretch.
-// Both partition identities are preserved exactly — the flush-recovery
-// charge goes to the same branch record, in the same amount, as n
-// single-cycle account() calls would post.
+// bulkAccount posts n skipped cycles at once, exactly as n
+// single-cycle passes of retire, dispatch, and account() would: nothing
+// retires, and every input to the decision tree is frozen for the whole
+// stretch — including whether dispatch is blocked on a full window
+// (acctFull), which skippable makes constant by stopping at the front
+// µop's dispatch-ready cycle. Both partition identities are preserved
+// exactly (the flush-recovery charge goes to the same branch record, in
+// the same amount), and so are the diagnostics: retire charges the
+// blocked head every cycle, dispatch every window-full cycle.
 func (c *CPU) bulkAccount(n uint64) {
+	full := c.fqCount > 0 && c.fqFront().dispReady <= c.cycle
+	if full {
+		c.dbgRobFull += n
+	}
+	var head *uop
+	if c.robCount > 0 {
+		head = c.rob[c.robHead]
+		c.dbgHeadBlock[head.inst.Op] += n
+		if !head.dispatched {
+			c.dbgHeadUndisp += n
+		}
+	}
 	var b obs.Bucket
 	switch {
 	case c.recoverRec != nil:
 		b = obs.FlushRecovery
 		c.recoverRec.FlushCycles += n
-	case c.robCount == 0:
+	case head == nil:
 		if c.fqCount == 0 && c.cycle < c.nextFetch {
 			b = obs.Structural
 		} else {
 			b = obs.FetchStall
 		}
+	case head.isSelect || (head.inst.Guard != isa.P0 && !head.inst.IsBranch()):
+		b = obs.PredSerial
+	case full:
+		b = obs.WindowFull
 	default:
-		head := c.rob[c.robHead]
-		if head.isSelect || (head.inst.Guard != isa.P0 && !head.inst.IsBranch()) {
-			b = obs.PredSerial
-		} else {
-			b = obs.ExecLatency
-		}
-		c.dbgHeadBlock[head.inst.Op] += n
+		b = obs.ExecLatency
 	}
 	c.res.Acct.Buckets[b] += n
 	c.dbgSkipped += n
