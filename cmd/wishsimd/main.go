@@ -35,7 +35,10 @@
 // worker ring (keeping every worker's memo table hot for its shard),
 // fans campaigns out per worker, and merges responses in request order
 // — byte-identical to a single node, including across worker failures
-// (see internal/cluster).
+// (see internal/cluster). The coordinator keeps no state of its own:
+// after a restart the workers' memo tables answer finished work, and
+// -journal is refused in coordinator mode (exit 2); give it to the
+// workers instead.
 //
 // Endpoints: POST /v1/run, POST /v1/campaign, GET /healthz,
 // GET /metrics (see internal/serve). Responses default to JSON; a
@@ -96,6 +99,10 @@ func run() int {
 	flag.Parse()
 
 	if *coordinator {
+		if lf.Journal != "" {
+			fmt.Fprintln(os.Stderr, "wishsimd: -journal is a worker flag: the coordinator keeps no state (give each worker -journal and -cache-dir)")
+			return 2
+		}
 		return runCoordinator(coordinatorConfig{
 			addr:          *addr,
 			workers:       *workerList,
@@ -104,7 +111,6 @@ func run() int {
 			replicas:      *replicas,
 			maxTimeout:    *maxTimeout,
 			drainTimeout:  *drainTimeout,
-			journalDir:    lf.Journal,
 			verbose:       lf.Verbose,
 		})
 	}
@@ -226,7 +232,6 @@ type coordinatorConfig struct {
 	replicas      int
 	maxTimeout    time.Duration
 	drainTimeout  time.Duration
-	journalDir    string
 	verbose       bool
 }
 
@@ -256,24 +261,6 @@ func runCoordinator(cfg coordinatorConfig) int {
 	if cfg.verbose {
 		reg.Log = os.Stderr
 		co.Log = os.Stderr
-	}
-	// Merge-progress checkpointing: every merged result is journaled
-	// before the response carries it, and a restarted coordinator
-	// re-dispatches only the unfinished remainder of a re-submitted
-	// campaign.
-	if cfg.journalDir != "" {
-		jpath := filepath.Join(cfg.journalDir, "coordinator.wbj")
-		j, rep, err := journal.Open(jpath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wishsimd: %v\n", err)
-			return 1
-		}
-		defer j.Close()
-		co.Journal = j
-		for key, res := range rep.Results {
-			co.SeedCheckpoint(key, res)
-		}
-		fmt.Fprintf(os.Stderr, "wishsimd: journal %s: resumed_frames=%d\n", jpath, len(rep.Results))
 	}
 	reg.Start()
 	defer reg.Stop()

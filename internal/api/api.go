@@ -204,15 +204,17 @@ type ClusterMetrics struct {
 	// a failure or a busy worker), Hedges counts hedge launches.
 	Reroutes uint64 `json:"reroutes"`
 	Hedges   uint64 `json:"hedges"`
-	// CheckpointHits counts request items answered from the merge
-	// checkpoint (the coordinator journal) instead of a worker.
+	// CheckpointHits is always 0: the coordinator keeps no merge
+	// checkpoint (after a restart the workers' memo tables answer
+	// finished work). The field stays so the v1 schema stays additive.
 	CheckpointHits uint64 `json:"checkpoint_hits"`
 
 	Requests  map[string]uint64 `json:"requests"`
 	Responses map[string]uint64 `json:"responses"`
 
-	// Journal is present when the coordinator checkpoints to a journal
-	// (same shape as a worker's journal section).
+	// Journal is always absent: the coordinator keeps no journal
+	// (workers report theirs in their own /metrics). Kept for the same
+	// schema reason as CheckpointHits.
 	Journal *JournalMetrics `json:"journal,omitempty"`
 
 	Workers []WorkerStatus `json:"workers"`

@@ -20,8 +20,9 @@
 // (also installed as the lab's Backend so spec-at-a-time paths go
 // remote too), an api.LabRunner over the local scheduler otherwise.
 // The -journal flag is registered here but consumed by each command —
-// journal semantics (campaign checkpoint vs. daemon write-ahead log)
-// are the command's business, the flag's existence is not.
+// journal semantics (campaign checkpoint vs. daemon write-ahead log;
+// a wishsimd coordinator keeps no state and refuses it) are the
+// command's business, the flag's existence is not.
 package cliflags
 
 import (
@@ -51,7 +52,7 @@ func RegisterLab(fs *flag.FlagSet) *Lab {
 	var lf Lab
 	fs.IntVar(&lf.Workers, "j", runtime.NumCPU(), "max concurrent simulations")
 	fs.StringVar(&lf.CacheDir, "cache-dir", lab.DefaultDir(), "persistent result store directory (empty = disabled)")
-	fs.StringVar(&lf.Journal, "journal", "", "campaign journal directory: crash-safe checkpoint/resume (empty = off)")
+	fs.StringVar(&lf.Journal, "journal", "", "journal directory: crash-safe resume of a campaign or a worker daemon's results; not accepted by a coordinator (empty = off)")
 	fs.BoolVar(&lf.Verbose, "v", false, "log each simulation to stderr")
 	return &lf
 }

@@ -14,10 +14,16 @@
 // generation-numbered liveness (Registry), and merges campaign
 // responses back into the original request order, so cluster output is
 // byte-identical to a single-node run at any worker count and under
-// any failover history.
+// any failover history. Every body on the wire is an internal/api type
+// (api.ClusterHealth and api.ClusterMetrics for /healthz and /metrics).
 //
 // Robustness is the point:
 //
+//   - Restart: the coordinator keeps no state of its own. A restarted
+//     coordinator re-dispatches a re-submitted campaign, and the
+//     workers' memo tables answer everything they already finished,
+//     so each spec is still simulated once; the workers' -cache-dir
+//     and -journal cover the case where they restart too.
 //   - Failover: a worker that fails a request with a transport error
 //     or 5xx is marked dead on the spot; the shard retries with
 //     backoff against a freshly-resolved ring, landing on the next
@@ -49,7 +55,6 @@ import (
 
 	"wishbranch/internal/api"
 	"wishbranch/internal/cpu"
-	"wishbranch/internal/journal"
 	"wishbranch/internal/lab"
 	"wishbranch/internal/serve"
 )
@@ -91,14 +96,6 @@ type Coordinator struct {
 	// Log, when non-nil, receives one line per reroute, hedge, and
 	// rejection.
 	Log io.Writer
-	// Journal, when non-nil, checkpoints merge progress: every result
-	// merged from a worker is journaled (fsync'd) before the response
-	// carries it, and a restarted coordinator seeded from the replayed
-	// journal (SeedCheckpoint) answers those items from the checkpoint
-	// and re-dispatches only the unfinished remainder of a re-submitted
-	// campaign. Results being pure functions of their keys is what makes
-	// a checkpointed answer indistinguishable from a re-dispatched one.
-	Journal *journal.Journal
 
 	once     sync.Once
 	started  time.Time
@@ -106,10 +103,6 @@ type Coordinator struct {
 	inflight sync.WaitGroup
 	hedges   atomic.Uint64
 	reroutes atomic.Uint64
-	ckptHits atomic.Uint64
-
-	ckptMu sync.Mutex
-	ckpt   map[string]*cpu.Result
 
 	mu    sync.Mutex
 	reqs  map[string]uint64
@@ -133,43 +126,7 @@ func (co *Coordinator) init() {
 		co.started = time.Now()
 		co.reqs = make(map[string]uint64)
 		co.resps = make(map[string]uint64)
-		co.ckpt = make(map[string]*cpu.Result)
 	})
-}
-
-// SeedCheckpoint pre-populates the merge checkpoint with a result
-// replayed from the coordinator's journal. Call before serving.
-func (co *Coordinator) SeedCheckpoint(key string, r *cpu.Result) {
-	co.init()
-	co.ckptMu.Lock()
-	co.ckpt[key] = r
-	co.ckptMu.Unlock()
-}
-
-// checkpointGet returns the checkpointed result for key, nil when the
-// coordinator runs without a journal or has not merged key yet.
-func (co *Coordinator) checkpointGet(key string) *cpu.Result {
-	if co.Journal == nil {
-		return nil
-	}
-	co.ckptMu.Lock()
-	defer co.ckptMu.Unlock()
-	return co.ckpt[key]
-}
-
-// checkpointPut journals a freshly merged result and adds it to the
-// in-memory checkpoint. Journal failures are logged, not fatal — the
-// campaign still completes, it just stops being resumable from here.
-func (co *Coordinator) checkpointPut(key string, r *cpu.Result) {
-	if co.Journal == nil {
-		return
-	}
-	if err := co.Journal.Append(key, r); err != nil {
-		co.logf("cluster: checkpoint: %v", err)
-	}
-	co.ckptMu.Lock()
-	co.ckpt[key] = r
-	co.ckptMu.Unlock()
 }
 
 func (co *Coordinator) retries() int {
@@ -184,8 +141,8 @@ func (co *Coordinator) retries() int {
 //
 //	POST /v1/run       one simulation, routed to its home worker
 //	POST /v1/campaign  a batch, split into per-worker shards and merged
-//	GET  /healthz      cluster liveness (Health)
-//	GET  /metrics      ring state + per-worker counters (Metrics)
+//	GET  /healthz      cluster liveness (api.ClusterHealth)
+//	GET  /metrics      ring state + per-worker counters (api.ClusterMetrics)
 func (co *Coordinator) Handler() http.Handler {
 	co.init()
 	mux := http.NewServeMux()
@@ -238,7 +195,7 @@ func (co *Coordinator) timeout(ms int64) time.Duration {
 
 func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	co.count("run")
-	var req serve.RunRequest
+	var req api.RunRequest
 	if !co.decode(w, r, &req, &req.Schema) {
 		return
 	}
@@ -260,24 +217,18 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		co.rejectErr(w, err)
 		return
 	}
-	co.writeJSON(w, http.StatusOK, serve.RunResponse{Key: req.Spec.Key(), Result: res})
+	co.writeJSON(w, http.StatusOK, api.RunResponse{Key: req.Spec.Key(), Result: res})
 }
 
-// Run executes one spec through the cluster: checkpoint first, then
-// routed to the spec's home worker with the usual retry/hedge ladder.
-// Together with Campaign it makes the coordinator the third api.Runner
-// execution path (next to api.LabRunner and serve.Client), so a driver
-// embedding a coordinator in-process needs no HTTP hop. Drain
-// accounting applies to HTTP requests only; direct callers own their
-// own lifecycle.
+// Run executes one spec through the cluster, routed to the spec's home
+// worker with the usual retry/hedge ladder. Together with Campaign it
+// makes the coordinator the third api.Runner execution path (next to
+// api.LabRunner and serve.Client), so a driver embedding a coordinator
+// in-process needs no HTTP hop. Drain accounting applies to HTTP
+// requests only; direct callers own their own lifecycle.
 func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, error) {
 	co.init()
-	k := spec.Keyed()
-	if res := co.checkpointGet(k.Key); res != nil {
-		co.ckptHits.Add(1)
-		return res, nil
-	}
-	v, err := co.route(ctx, k.Key, func(ctx context.Context, wk *Worker, _ func()) (any, error) {
+	v, err := co.route(ctx, spec.Key(), func(ctx context.Context, wk *Worker, _ func()) (any, error) {
 		res, rerr := wk.Client.Run(ctx, spec)
 		if rerr != nil {
 			return nil, rerr
@@ -287,14 +238,12 @@ func (co *Coordinator) Run(ctx context.Context, spec lab.Spec) (*cpu.Result, err
 	if err != nil {
 		return nil, err
 	}
-	res := v.(*cpu.Result)
-	co.checkpointPut(k.Key, res)
-	return res, nil
+	return v.(*cpu.Result), nil
 }
 
 func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	co.count("campaign")
-	var req serve.CampaignRequest
+	var req api.CampaignRequest
 	if !co.decode(w, r, &req, &req.Schema) {
 		return
 	}
@@ -322,7 +271,7 @@ func (co *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		co.rejectErr(w, err)
 		return
 	}
-	co.writeJSON(w, http.StatusOK, serve.CampaignResponse{Items: items})
+	co.writeJSON(w, http.StatusOK, api.CampaignResponse{Items: items})
 }
 
 // Campaign splits the batch into per-worker shards by each spec's home
@@ -353,33 +302,12 @@ func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.Ca
 		items[i].Key = keyed[i].Key
 	}
 
-	// Checkpointed items answer from the merge journal without touching
-	// a worker: after a coordinator restart, a re-submitted campaign
-	// re-dispatches only its unfinished suffix.
-	done := make([]bool, len(specs))
-	remaining := 0
-	for i := range keyed {
-		if res := co.checkpointGet(keyed[i].Key); res != nil {
-			items[i].Result = res
-			done[i] = true
-			co.ckptHits.Add(1)
-		} else {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		return items, nil
-	}
-
 	ring := co.Registry.Ring()
 	if ring.Empty() {
 		return nil, ErrNoWorkers
 	}
 	shards := make(map[*Worker][]int)
 	for i := range keyed {
-		if done[i] {
-			continue
-		}
 		home := ring.Lookup(keyed[i].Key, 1)[0]
 		shards[home] = append(shards[home], i)
 	}
@@ -405,7 +333,7 @@ func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.Ca
 			// cancelling a straggling replica at the winner's first
 			// result rather than its last.
 			v, err := co.route(ctx, keyed[idxs[0]].Key, func(ctx context.Context, wk *Worker, claim func()) (any, error) {
-				return wk.Client.CampaignStream(ctx, sub, func(int, serve.CampaignItem) { claim() })
+				return wk.Client.CampaignStream(ctx, sub, func(int, api.CampaignItem) { claim() })
 			})
 			if err != nil {
 				var se *serve.StatusError
@@ -432,9 +360,6 @@ func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.Ca
 					continue
 				}
 				items[idx] = got[j]
-				if got[j].Result != nil && got[j].Err == "" {
-					co.checkpointPut(keyed[idx].Key, got[j].Result)
-				}
 			}
 		}(idxs)
 	}
@@ -448,7 +373,7 @@ func (co *Coordinator) Campaign(ctx context.Context, specs []lab.Spec) ([]api.Ca
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	co.count("healthz")
 	live := len(co.Registry.Live())
-	h := Health{
+	h := api.ClusterHealth{
 		Status:       "ok",
 		UptimeSecs:   time.Since(co.started).Seconds(),
 		Generation:   co.Registry.Generation(),
@@ -470,29 +395,24 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	co.count("metrics")
 	workers := co.Registry.Workers()
-	m := Metrics{
-		Schema:         serve.APISchema,
-		UptimeSecs:     time.Since(co.started).Seconds(),
-		Draining:       co.draining.Load(),
-		Generation:     co.Registry.Generation(),
-		Replicas:       co.Registry.Replicas,
-		LiveWorkers:    len(co.Registry.Live()),
-		TotalWorkers:   len(workers),
-		Reroutes:       co.reroutes.Load(),
-		Hedges:         co.hedges.Load(),
-		CheckpointHits: co.ckptHits.Load(),
-		Requests:       make(map[string]uint64),
-		Responses:      make(map[string]uint64),
-	}
-	if co.Journal != nil {
-		frames, resumed := co.Journal.Stats()
-		m.Journal = &serve.JournalMetrics{Frames: frames, Resumed: resumed}
+	m := api.ClusterMetrics{
+		Schema:       api.Version,
+		UptimeSecs:   time.Since(co.started).Seconds(),
+		Draining:     co.draining.Load(),
+		Generation:   co.Registry.Generation(),
+		Replicas:     co.Registry.Replicas,
+		LiveWorkers:  len(co.Registry.Live()),
+		TotalWorkers: len(workers),
+		Reroutes:     co.reroutes.Load(),
+		Hedges:       co.hedges.Load(),
+		Requests:     make(map[string]uint64),
+		Responses:    make(map[string]uint64),
 	}
 	if m.Replicas == 0 {
 		m.Replicas = DefaultReplicas
 	}
 	for _, wk := range workers {
-		m.Workers = append(m.Workers, WorkerStatus{
+		m.Workers = append(m.Workers, api.WorkerStatus{
 			URL:      wk.URL,
 			Alive:    wk.Alive(),
 			Requests: wk.reqs.Load(),
@@ -520,9 +440,9 @@ func (co *Coordinator) decode(w http.ResponseWriter, r *http.Request, dst any, s
 		co.reject(w, http.StatusBadRequest, fmt.Sprintf("cluster: bad request body: %v", err))
 		return false
 	}
-	if *schema != serve.APISchema {
+	if *schema != api.Version {
 		co.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("cluster: request schema %d, want %d (client/coordinator version skew)", *schema, serve.APISchema))
+			fmt.Sprintf("cluster: request schema %d, want %d (client/coordinator version skew)", *schema, api.Version))
 		return false
 	}
 	return true
@@ -562,7 +482,7 @@ func (co *Coordinator) rejectDraining(w http.ResponseWriter) {
 
 func (co *Coordinator) reject(w http.ResponseWriter, status int, msg string) {
 	co.logf("cluster: %d %s", status, msg)
-	co.writeJSON(w, status, serve.ErrorResponse{Error: msg})
+	co.writeJSON(w, status, api.ErrorResponse{Error: msg})
 }
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"wishbranch/internal/api"
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
 	"wishbranch/internal/cpu"
@@ -171,6 +172,60 @@ func TestClusterCampaignByteIdenticalToSingleNode(t *testing.T) {
 	}
 }
 
+// TestClusterRestartReusesWorkerMemo: the coordinator keeps no state,
+// so a restart loses nothing — a fresh coordinator over the same
+// workers answers a re-submitted campaign byte-identically, and every
+// item comes from the workers' memo tables, so each spec is simulated
+// exactly once across the restart.
+func TestClusterRestartReusesWorkerMemo(t *testing.T) {
+	labs := []*lab.Lab{scriptedLab(nil), scriptedLab(nil)}
+	var urls []string
+	for _, l := range labs {
+		urls = append(urls, startWorker(t, l).URL)
+	}
+	counters := func() (fresh, mem uint64) {
+		for _, l := range labs {
+			c := l.Counters()
+			fresh += c.Fresh
+			mem += c.MemHits
+		}
+		return fresh, mem
+	}
+
+	coA, clA, _ := startCluster(t, urls, nil)
+	specs := specsCoveringAllWorkers(t, coA, 8)
+	before, err := clA.Campaign(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, memBefore := counters()
+
+	_, clB, _ := startCluster(t, urls, nil)
+	after, err := clB.Campaign(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bb, err := json.Marshal(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := json.Marshal(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bb, ab) {
+		t.Errorf("campaign through the restarted coordinator differs:\n--- before ---\n%s\n--- after ---\n%s", bb, ab)
+	}
+	fresh, mem := counters()
+	if fresh != uint64(len(specs)) {
+		t.Errorf("workers simulated %d times for %d specs across the restart, want each exactly once", fresh, len(specs))
+	}
+	if mem <= memBefore {
+		t.Errorf("worker memo hits %d -> %d: the restarted coordinator's campaign was not served from memo", memBefore, mem)
+	}
+}
+
 // TestClusterWorkerDeathFailover: killing a worker mid-life re-homes
 // its shard to the next live node; the campaign still completes with
 // every item intact and the registry records the death.
@@ -255,7 +310,7 @@ func TestCluster429Propagation(t *testing.T) {
 	busy := func(retryAfter int) *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-			serve.WriteJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "queue full"})
+			serve.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "queue full"})
 		}))
 		t.Cleanup(ts.Close)
 		return ts
@@ -268,7 +323,7 @@ func TestCluster429Propagation(t *testing.T) {
 	// A batch covering both workers: the propagated hint must be the
 	// 7-second maximum.
 	specs := specsCoveringAllWorkers(t, co, 0)
-	body, err := json.Marshal(serve.CampaignRequest{Schema: serve.APISchema, Specs: specs})
+	body, err := json.Marshal(api.CampaignRequest{Schema: api.Version, Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +365,7 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
+	var m api.ClusterMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +390,7 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz = %d with no live workers, want 503", hresp.StatusCode)
 	}
-	var dh Health
+	var dh api.ClusterHealth
 	if err := json.NewDecoder(hresp.Body).Decode(&dh); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +399,7 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 	}
 
 	// And a run against the dead cluster is shed with 503+Retry-After.
-	body, _ := json.Marshal(serve.RunRequest{Schema: serve.APISchema, Spec: testSpec(0.05)})
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: testSpec(0.05)})
 	rresp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +421,7 @@ func TestClusterDrain(t *testing.T) {
 	if err := co.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(serve.RunRequest{Schema: serve.APISchema, Spec: testSpec(0.05)})
+	body, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: testSpec(0.05)})
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +446,7 @@ func TestClusterBadRequests(t *testing.T) {
 	var hits int
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits++
-		serve.WriteJSON(w, http.StatusOK, serve.ErrorResponse{})
+		serve.WriteJSON(w, http.StatusOK, api.ErrorResponse{})
 	}))
 	t.Cleanup(stub.Close)
 	_, _, ts := startCluster(t, []string{stub.URL}, nil)
@@ -407,17 +462,17 @@ func TestClusterBadRequests(t *testing.T) {
 	if got := post("/v1/run", "{not json"); got != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", got)
 	}
-	bad, _ := json.Marshal(serve.RunRequest{Schema: 99, Spec: testSpec(0.05)})
+	bad, _ := json.Marshal(api.RunRequest{Schema: 99, Spec: testSpec(0.05)})
 	if got := post("/v1/run", string(bad)); got != http.StatusBadRequest {
 		t.Errorf("schema skew: %d, want 400", got)
 	}
 	invalid := testSpec(0.05)
 	invalid.Bench = "nosuch"
-	badSpec, _ := json.Marshal(serve.RunRequest{Schema: serve.APISchema, Spec: invalid})
+	badSpec, _ := json.Marshal(api.RunRequest{Schema: api.Version, Spec: invalid})
 	if got := post("/v1/run", string(badSpec)); got != http.StatusBadRequest {
 		t.Errorf("invalid spec: %d, want 400", got)
 	}
-	if got := post("/v1/campaign", fmt.Sprintf(`{"schema":%d,"specs":[]}`, serve.APISchema)); got != http.StatusBadRequest {
+	if got := post("/v1/campaign", fmt.Sprintf(`{"schema":%d,"specs":[]}`, api.Version)); got != http.StatusBadRequest {
 		t.Errorf("empty campaign: %d, want 400", got)
 	}
 	if hits != 0 {

@@ -12,7 +12,7 @@ import (
 // pool, scheduler heaps, dependent chunks, and wrong-path shadow have
 // grown to the workload's working-set size, advancing the pipeline
 // allocates nothing at all. Advance (not Run) is measured because only
-// the end-of-run flattening (finishRun) is allowed to allocate.
+// the end-of-run flattening (stop) is allowed to allocate.
 //
 // The measured window includes flushes, wrong-path fetch, cache
 // misses, and wish-mode transitions — zero allocations here means the

@@ -27,7 +27,7 @@
 package cpu
 
 import (
-	"fmt"
+	"context"
 
 	"wishbranch/internal/bpred"
 	"wishbranch/internal/cache"
@@ -208,21 +208,7 @@ func (c *CPU) SetCycleSkipping(on bool) { c.skipOff = !on }
 // configuration (callers that want wall-clock throughput time the call
 // themselves).
 func (c *CPU) Run(maxCycles uint64) (*Result, error) {
-	if maxCycles == 0 {
-		maxCycles = 1 << 40
-	}
-	for !c.res.Halted {
-		if c.cycle >= maxCycles {
-			c.res.Cycles = c.cycle
-			c.finishRun()
-			return &c.res, fmt.Errorf("cpu: cycle limit %d reached (pc=%d, retired=%d)",
-				maxCycles, c.st.PC, c.res.RetiredUops)
-		}
-		c.stepOrSkip(maxCycles)
-	}
-	c.res.Cycles = c.cycle
-	c.finishRun()
-	return &c.res, nil
+	return c.RunContext(context.Background(), maxCycles)
 }
 
 // Advance runs the pipeline for up to n more cycles and reports
@@ -417,19 +403,6 @@ func (c *CPU) account() {
 // retire, and flush event of the rest of the run is recorded into it.
 // Tracing is observational only — it never changes simulation results.
 func (c *CPU) AttachTrace(r *obs.Ring) { c.ring = r }
-
-// finishRun flattens the end-of-run statistics into the result
-// (cache totals and the sorted per-branch attribution table).
-func (c *CPU) finishRun() {
-	c.res.L1I = c.hier.L1I.Stats
-	c.res.L1D = c.hier.L1D.Stats
-	c.res.L2 = c.hier.L2.Stats
-	c.res.Mem = c.hier.Mem.Stats
-	if c.res.Cycles == 0 {
-		c.res.Cycles = c.cycle
-	}
-	c.res.Branches = c.brTab.Sorted()
-}
 
 // Mode returns the current front-end wish mode (for tests and the
 // state-machine experiments).

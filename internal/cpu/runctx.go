@@ -13,64 +13,58 @@ import (
 // polls every 32Ki cycles — a few microseconds of simulated work at
 // current host throughput. The poll itself is a non-blocking select on
 // a channel obtained once before the loop, so the hot path stays
-// allocation-free (TestRunContextZeroAlloc) and the bench gate sees the
-// exact same Run path as before.
+// allocation-free (TestRunContextZeroAlloc).
 const cancelCheckInterval = 1 << 15
 
 // RunContext is Run with cooperative cancellation: when ctx is
 // cancelled (or its deadline passes), the simulation stops at the next
 // cancellation poll and returns the partial result together with an
 // error wrapping ctx.Err(). A context that can never be cancelled
-// (context.Background, context.TODO) delegates to Run and costs
-// nothing.
+// (context.Background, context.TODO) has a nil Done channel, so every
+// poll falls through; Run is exactly that call.
 //
 // Cancellation is a host-side concern only: a run that completes
 // before the context fires returns a result bit-identical to Run's
 // (TestRunContextEquivalence).
 func (c *CPU) RunContext(ctx context.Context, maxCycles uint64) (*Result, error) {
 	done := ctx.Done()
-	if done == nil {
-		return c.Run(maxCycles)
-	}
-	// An already-cancelled context must not simulate anything: without
-	// this upfront poll a dead context would still run up to 32Ki
-	// wake-ups before the first countdown poll. Returning here leaves
-	// the CPU in a clean resumable state — the µop arena, free-list,
-	// and writer tables are untouched, so a later RunContext call picks
-	// up exactly where this one stopped (TestRunContextPreCancelled).
-	select {
-	case <-done:
-		c.res.Cycles = c.cycle
-		c.finishRun()
-		return &c.res, fmt.Errorf("cpu: run cancelled at cycle %d (pc=%d, retired=%d): %w",
-			c.cycle, c.st.PC, c.res.RetiredUops, ctx.Err())
-	default:
-	}
 	if maxCycles == 0 {
 		maxCycles = 1 << 40
 	}
-	countdown := cancelCheckInterval
+	// The first poll comes before the first step, so a context that is
+	// dead on arrival simulates nothing and leaves the CPU in a clean
+	// resumable state — the µop arena, free-list, and writer tables are
+	// untouched, so a later call picks up exactly where this one
+	// stopped (TestRunContextPreCancelled).
+	countdown := 1
 	for !c.res.Halted {
-		if c.cycle >= maxCycles {
-			c.res.Cycles = c.cycle
-			c.finishRun()
-			return &c.res, fmt.Errorf("cpu: cycle limit %d reached (pc=%d, retired=%d)",
-				maxCycles, c.st.PC, c.res.RetiredUops)
-		}
-		c.stepOrSkip(maxCycles)
 		if countdown--; countdown == 0 {
 			countdown = cancelCheckInterval
 			select {
 			case <-done:
-				c.res.Cycles = c.cycle
-				c.finishRun()
-				return &c.res, fmt.Errorf("cpu: run cancelled at cycle %d (pc=%d, retired=%d): %w",
-					c.cycle, c.st.PC, c.res.RetiredUops, ctx.Err())
+				return c.stop(fmt.Errorf("cpu: run cancelled at cycle %d (pc=%d, retired=%d): %w",
+					c.cycle, c.st.PC, c.res.RetiredUops, ctx.Err()))
 			default:
 			}
 		}
+		if c.cycle >= maxCycles {
+			return c.stop(fmt.Errorf("cpu: cycle limit %d reached (pc=%d, retired=%d)",
+				maxCycles, c.st.PC, c.res.RetiredUops))
+		}
+		c.stepOrSkip(maxCycles)
 	}
+	return c.stop(nil)
+}
+
+// stop ends a run — halted, truncated, or cancelled — by flattening the
+// end-of-run statistics into the result (cycle count, cache totals and
+// the sorted per-branch attribution table) and returning it with err.
+func (c *CPU) stop(err error) (*Result, error) {
 	c.res.Cycles = c.cycle
-	c.finishRun()
-	return &c.res, nil
+	c.res.L1I = c.hier.L1I.Stats
+	c.res.L1D = c.hier.L1D.Stats
+	c.res.L2 = c.hier.L2.Stats
+	c.res.Mem = c.hier.Mem.Stats
+	c.res.Branches = c.brTab.Sorted()
+	return &c.res, err
 }

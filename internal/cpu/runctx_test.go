@@ -43,7 +43,7 @@ func TestRunContextEquivalence(t *testing.T) {
 }
 
 // TestRunContextBackgroundDelegates: an uncancellable context takes the
-// exact Run path (no polling at all).
+// exact Run path (its nil Done channel makes every poll fall through).
 func TestRunContextBackgroundDelegates(t *testing.T) {
 	r1, err := newGzipCPU(t, 0.05).Run(0)
 	if err != nil {

@@ -116,7 +116,10 @@ func (s *Store) SetMaxBytes(n int64) error {
 }
 
 // hashOfRecordPath recovers the content hash from a record filename
-// (<hash>.bin or <hash>.json), the identity Pin operates on.
+// (<hash>.bin, or a leftover <hash>.json from a store written before
+// the binary codec — never read, but counted and evictable so an old
+// store directory still honours its bound), the identity Pin operates
+// on.
 func hashOfRecordPath(path string) string {
 	base := filepath.Base(path)
 	if i := strings.IndexByte(base, '.'); i >= 0 {

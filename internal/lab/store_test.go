@@ -85,99 +85,51 @@ func TestStoreIgnoresCorruptRecords(t *testing.T) {
 	}
 }
 
-// writeLegacyJSONRecord plants a pre-binary-codec v3 record, exactly
-// as the old Put marshaled it.
-func writeLegacyJSONRecord(t *testing.T, st *Store, key string, r *cpu.Result) string {
-	t.Helper()
-	path := st.legacyPath(hashKey(key))
-	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(record{Schema: SchemaVersion, Key: key, Result: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestStoreReadsLegacyJSONRecords is the migration regression test: a
-// store populated before the binary codec (v3 JSON records) keeps
-// serving warm reads through the fallback path, and a fresh Put
-// upgrades the entry in place — the binary record then takes
-// precedence.
-func TestStoreReadsLegacyJSONRecords(t *testing.T) {
+// TestStoreIgnoresLegacyJSONRecords: a v3 JSON record left by a store
+// written before the binary codec is never read — Get is a miss, the
+// caller re-simulates, and the fresh Put lands next to it as a .bin
+// record that is then served. The size-bound scan still counts the
+// leftover, so an old store directory honours its byte bound.
+func TestStoreIgnoresLegacyJSONRecords(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testSpec().Key()
 	want := testResult()
-	writeLegacyJSONRecord(t, st, key, want)
+	bin := st.path(hashKey(key))
+	legacy := strings.TrimSuffix(bin, ".bin") + ".json"
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(map[string]any{"schema": SchemaVersion, "key": key, "result": want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
 
+	if got := st.Get(key); got != nil {
+		t.Fatalf("legacy JSON record was served: %+v", got)
+	}
+	if err := st.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
 	got := st.Get(key)
-	if got == nil {
-		t.Fatal("legacy JSON record read as a miss")
-	}
-	if got.Cycles != want.Cycles || got.RetiredUops != want.RetiredUops {
-		t.Fatalf("legacy read changed the result: got %+v want %+v", got, want)
+	if got == nil || got.Cycles != want.Cycles || got.RetiredUops != want.RetiredUops {
+		t.Fatalf("binary record next to a legacy one not served: got %+v want %+v", got, want)
 	}
 
-	// A fresh Put writes the binary form; with both present the binary
-	// record wins (plant a poisoned legacy record to prove it).
-	upgraded := testResult()
-	upgraded.Cycles++
-	if err := st.Put(key, upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(st.path(hashKey(key))); err != nil {
-		t.Fatalf("Put did not write a binary record: %v", err)
-	}
-	if got := st.Get(key); got == nil || got.Cycles != upgraded.Cycles {
-		t.Fatalf("binary record did not take precedence: got %+v", got)
-	}
-}
-
-// TestStoreLegacyJSONCorruption keeps the original JSON corruption
-// table alive against the fallback path: a corrupt legacy record is a
-// miss, never an error.
-func TestStoreLegacyJSONCorruption(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	info, err := os.Stat(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testSpec().Key()
-	path := writeLegacyJSONRecord(t, st, key, testResult())
-	orig, err := os.ReadFile(path)
-	if err != nil {
+	if err := st.SetMaxBytes(1 << 30); err != nil {
 		t.Fatal(err)
 	}
-	corruptions := []struct {
-		name string
-		mut  func(data []byte) []byte
-	}{
-		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
-		{"garbage", func(d []byte) []byte { return []byte("not json at all") }},
-		{"empty", func(d []byte) []byte { return nil }},
-		{"wrong schema", func(d []byte) []byte {
-			return []byte(strings.Replace(string(d), `"schema":`, `"schema":9`, 1))
-		}},
-		{"key mismatch", func(d []byte) []byte {
-			return []byte(strings.Replace(string(d), "gzip", "mcf!", 1))
-		}},
-		{"null result", func(d []byte) []byte {
-			return []byte(strings.Replace(string(d), `"result":{`, `"result":null,"x":{`, 1))
-		}},
-	}
-	for _, c := range corruptions {
-		if err := os.WriteFile(path, c.mut(append([]byte{}, orig...)), 0o666); err != nil {
-			t.Fatal(err)
-		}
-		if st.Get(key) != nil {
-			t.Errorf("%s legacy record was served instead of treated as a miss", c.name)
-		}
+	if total := info.Size() + int64(len(data)); st.Bytes() != total {
+		t.Errorf("gc scan counts %d bytes, want %d (.bin + leftover .json)", st.Bytes(), total)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# End-to-end exercise of crash-safe checkpoint/resume (DESIGN.md §15):
+# End-to-end exercise of crash-safe resume (DESIGN.md §15):
 #
 # Part 1 — wishbench campaign journal:
 #   1. SIGKILL a `wishbench -journal` campaign mid-flight,
@@ -8,12 +8,14 @@
 #   3. resume the completed campaign again and assert it runs
 #      0 fresh simulations.
 #
-# Part 2 — coordinator merge-progress checkpoint:
-#   4. SIGKILL a `wishsimd -coordinator -journal` mid-campaign,
-#   5. restart it on the same journal and assert it resumed frames,
-#      answers re-submitted work from the checkpoint
-#      (checkpoint_hits > 0), and the rerun output is byte-identical
-#      to a local run.
+# Part 2 — stateless coordinator restart:
+#   4. assert `wishsimd -coordinator -journal DIR` exits 2 (the
+#      coordinator keeps no state),
+#   5. SIGKILL a coordinator mid-campaign, restart it, rerun the
+#      campaign, and assert the output is byte-identical to a local
+#      run while the workers simulate each spec exactly once (summed
+#      lab.fresh = the control's fresh count) and answer the rerun's
+#      finished work from their memo tables (summed lab.mem_hits > 0).
 #
 # Runnable locally (./scripts/e2e_resume.sh) and from CI. Needs curl;
 # uses jq when present and a grep fallback when not.
@@ -56,14 +58,18 @@ wait_healthy() {
   done
 }
 
-metric() { # metric JQ_PATH GREP_FIELD — field from coordinator /metrics
-  local json path=$1 field=$2
-  json=$(curl -fsS "$COORD/metrics")
-  if command -v jq >/dev/null 2>&1; then
-    printf '%s' "$json" | jq -r "$path"
-  else
-    printf '%s' "$json" | grep -o "\"$field\":[0-9]*" | head -1 | cut -d: -f2
-  fi
+worker_sum() { # worker_sum FIELD — lab.FIELD summed over the workers' /metrics
+  local total=0 json v url
+  for url in "${WORKER_URLS[@]}"; do
+    json=$(curl -fsS "$url/metrics")
+    if command -v jq >/dev/null 2>&1; then
+      v=$(printf '%s' "$json" | jq -r ".lab.$1")
+    else
+      v=$(printf '%s' "$json" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2)
+    fi
+    total=$((total + v))
+  done
+  echo "$total"
 }
 
 echo "== build =="
@@ -113,7 +119,18 @@ grep -q "0 fresh simulations" "$WORK/resumed2.err" \
   || fail "second resume of a complete campaign ran fresh simulations"
 echo "second resume: 0 fresh simulations, byte-identical"
 
-echo "== part 2: start 2 workers + checkpointing coordinator =="
+echo "== part 2: the coordinator refuses -journal =="
+set +e
+"$WORK/wishsimd" -coordinator -worker http://127.0.0.1:1 \
+  -journal "$WORK/cjournal" >"$WORK/cjournal.err" 2>&1
+rc=$?
+set -e
+[[ $rc -eq 2 ]] || fail "wishsimd -coordinator -journal exited $rc, want 2"
+grep -q "keeps no state" "$WORK/cjournal.err" \
+  || fail "wishsimd -coordinator -journal did not say why it refused"
+echo "coordinator -journal refused with exit 2"
+
+echo "== part 2: start 2 workers + coordinator =="
 WORKER_URLS=()
 for i in 0 1; do
   port=$((BASE_PORT + i))
@@ -132,8 +149,7 @@ start_coordinator() {
   "$WORK/wishsimd" -coordinator \
     -worker "$(IFS=,; echo "${WORKER_URLS[*]}")" \
     -addr "127.0.0.1:${COORD_PORT}" -probe-interval 500ms \
-    -journal "$WORK/cjournal" -drain-timeout 60s \
-    >>"$WORK/coordinator.log" 2>&1 &
+    -drain-timeout 60s >>"$WORK/coordinator.log" 2>&1 &
   COORD_PID=$!
   disown "$COORD_PID"
   PIDS+=("$COORD_PID")
@@ -147,34 +163,28 @@ echo "== part 2: SIGKILL the coordinator mid-campaign =="
 CBENCH_PID=$!
 disown "$CBENCH_PID"
 PIDS+=("$CBENCH_PID")
-# The coordinator journal holds only result frames (no spec set), so
-# any growth past the 8-byte header means a checkpointed result.
-CJFILE="$WORK/cjournal/coordinator.wbj"
 for i in $(seq 1 600); do
-  size=$(stat -c%s "$CJFILE" 2>/dev/null || echo 0)
-  if [[ "$size" -gt 8 ]]; then break; fi
-  [[ $i -eq 600 ]] && fail "coordinator checkpointed nothing within 60s"
+  if [[ $(worker_sum fresh) -ge 1 ]]; then break; fi
+  [[ $i -eq 600 ]] && fail "workers finished no simulation within 60s"
   sleep 0.1
 done
 kill -9 "$COORD_PID" 2>/dev/null || true
 wait "$CBENCH_PID" 2>/dev/null || true # client fails with the coordinator down
-echo "coordinator SIGKILLed after ≥1 checkpointed result"
+echo "coordinator SIGKILLed after the workers finished $(worker_sum fresh) simulations"
 
-echo "== part 2: restart coordinator on the same journal =="
+echo "== part 2: restart the coordinator and rerun =="
 start_coordinator
-grep -Eq 'journal .*resumed_frames=[1-9]' "$WORK/coordinator.log" \
-  || fail "restarted coordinator resumed no frames"
-RESUMED=$(metric .journal.resumed resumed)
-[[ "$RESUMED" -ge 1 ]] || fail "/metrics journal.resumed is $RESUMED, want >= 1"
-echo "coordinator resumed $RESUMED checkpointed frames"
-
-echo "== part 2: rerun through the restarted coordinator =="
 "$WORK/wishbench" -exp "$EXP" -scale "$SCALE" -server "$COORD" \
   >"$WORK/cresumed.out" 2>"$WORK/cresumed.err"
 cmp "$WORK/control.out" "$WORK/cresumed.out" \
   || fail "post-restart cluster stdout differs from the local control run"
-HITS=$(metric .checkpoint_hits checkpoint_hits)
-[[ "$HITS" -ge 1 ]] || fail "checkpoint_hits is $HITS after resume, want >= 1"
-echo "post-restart run is byte-identical with checkpoint_hits=$HITS"
+WANT=$(grep -Eo '[0-9]+ fresh simulations' "$WORK/control.err" | head -1 | cut -d' ' -f1)
+[[ -n "$WANT" ]] || fail "control run printed no fresh-simulation count"
+FRESH=$(worker_sum fresh)
+[[ "$FRESH" -eq "$WANT" ]] \
+  || fail "workers ran $FRESH fresh simulations across the restart, want $WANT (each spec once)"
+MEM=$(worker_sum mem_hits)
+[[ "$MEM" -ge 1 ]] || fail "workers' summed mem_hits is $MEM after the rerun, want >= 1"
+echo "post-restart run is byte-identical; workers simulated $FRESH specs once each, mem_hits=$MEM"
 
 echo "e2e_resume: PASS"
