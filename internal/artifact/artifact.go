@@ -11,16 +11,24 @@
 // *prog.Program and memory initializer. The hit path is a mutex +
 // map lookup: zero allocations (TestArtifactHitZeroAlloc).
 //
+// The memory image is shared one level further out: it depends only
+// on (bench, input, scale) — variant and thresholds shape the binary,
+// not its data — so every artifact of a workload shares one frozen
+// emu.Image, built once. Each simulation's emu.Memory reads the
+// image's pages and copies a page only on its first store to it, so
+// a simulation of mcf pays for the pages it writes, not for its whole
+// ~12 MB pointer-chase image.
+//
 // Sharing is safe because the artifact is immutable after
 // construction: nothing in the simulator writes prog.Code — cpu.New
 // builds per-CPU tables from it, µops hold *isa.Inst pointers into it
-// but only read, and emu.New gives every run its own register file and
-// Memory (the MemInit closures only read the input slices they
-// captured). That audit is enforced, not assumed:
+// but only read — and every run's emu.Memory copies an image page
+// before writing it. That audit is enforced, not assumed:
 // TestArtifactSharedProgramRaceFree runs many CPUs over one cached
 // program under -race, and TestArtifactMutationGuard re-fingerprints
-// cached programs after heavy use (Artifact.Verify, FNV-1a over every
-// instruction field plus entry and block structure).
+// cached programs and memory images after heavy use (Artifact.Verify:
+// FNV-1a over every instruction field plus entry and block structure,
+// and over every word of the image).
 package artifact
 
 import (
@@ -29,6 +37,7 @@ import (
 	"sync"
 
 	"wishbranch/internal/compiler"
+	"wishbranch/internal/emu"
 	"wishbranch/internal/prog"
 	"wishbranch/internal/workload"
 )
@@ -47,14 +56,34 @@ type Key struct {
 
 // Artifact is one immutable build+compile product. Prog and Mem are
 // shared by every simulation of the key, concurrently; treat both as
-// read-only.
+// read-only. Mem installs the workload's shared memory image into an
+// untouched emu.Memory.
 type Artifact struct {
 	Prog *prog.Program
 	Mem  workload.MemInit
 
 	// fp is the program fingerprint taken at construction, before the
 	// artifact was ever shared. Verify re-derives it to prove no
-	// simulation mutated the program.
+	// simulation mutated the program; img.fp does the same for the
+	// memory image.
+	fp  uint64
+	img *image
+}
+
+// imageKey identifies a memory image: the part of Key that
+// workload.Build's memory initializer depends on.
+type imageKey struct {
+	Bench string
+	Input workload.Input
+	Scale float64
+}
+
+// image is one frozen memory image with its construction-time
+// fingerprint. once builds it: the first artifact of a workload to
+// need the image builds it, concurrent ones wait.
+type image struct {
+	once sync.Once
+	*emu.Image
 	fp uint64
 }
 
@@ -70,8 +99,9 @@ type entry struct {
 }
 
 var (
-	mu    sync.Mutex
-	table = map[Key]*entry{}
+	mu     sync.Mutex
+	table  = map[Key]*entry{}
+	images = map[imageKey]*image{}
 )
 
 // Get returns the artifact for k, building it exactly once per process
@@ -103,27 +133,49 @@ func build(k Key) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Artifact{Prog: p, Mem: mem, fp: Fingerprint(p)}, nil
+	img := getImage(imageKey{k.Bench, k.Input, k.Scale}, mem)
+	return &Artifact{Prog: p, Mem: img.Init, fp: Fingerprint(p), img: img}, nil
 }
 
-// Verify re-fingerprints the shared program and reports any drift from
-// the construction-time fingerprint — i.e. some simulation mutated
-// what every other simulation of this key is reading. It exists for
-// the mutation-guard test; a failure here is a correctness bug in the
-// simulator, not a cache problem.
+// getImage returns the memory image for k, building it from init
+// exactly once per process per key.
+func getImage(k imageKey, init workload.MemInit) *image {
+	mu.Lock()
+	img := images[k]
+	if img == nil {
+		img = new(image)
+		images[k] = img
+	}
+	mu.Unlock()
+	img.once.Do(func() {
+		img.Image = emu.NewImage(init)
+		img.fp = img.Fingerprint()
+	})
+	return img
+}
+
+// Verify re-fingerprints the shared program and memory image and
+// reports any drift from the construction-time fingerprints — i.e.
+// some simulation mutated what every other simulation of this key is
+// reading. It exists for the mutation-guard test; a failure here is a
+// correctness bug in the simulator, not a cache problem.
 func (a *Artifact) Verify() error {
 	if got := Fingerprint(a.Prog); got != a.fp {
 		return fmt.Errorf("artifact: shared program mutated: fingerprint %#x, was %#x at build time", got, a.fp)
 	}
+	if got := a.img.Fingerprint(); got != a.img.fp {
+		return fmt.Errorf("artifact: shared memory image mutated: fingerprint %#x, was %#x at build time", got, a.img.fp)
+	}
 	return nil
 }
 
-// Reset drops the process-wide cache. Tests use it to force rebuilds;
-// production code never needs it (artifacts are immutable and keys are
-// complete).
+// Reset drops the process-wide cache, memory images included. Tests
+// use it to force rebuilds; production code never needs it (artifacts
+// are immutable and keys are complete).
 func Reset() {
 	mu.Lock()
 	table = map[Key]*entry{}
+	images = map[imageKey]*image{}
 	mu.Unlock()
 }
 

@@ -7,6 +7,8 @@ import (
 	"wishbranch/internal/compiler"
 	"wishbranch/internal/config"
 	"wishbranch/internal/cpu"
+	"wishbranch/internal/isa"
+	"wishbranch/internal/prog"
 	"wishbranch/internal/workload"
 )
 
@@ -119,6 +121,38 @@ func TestArtifactHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestArtifactImageSharedPerWorkload: the memory image depends only on
+// (bench, input, scale), so artifacts that differ in variant or
+// thresholds share one image, and a different input or scale gets its
+// own.
+func TestArtifactImageSharedPerWorkload(t *testing.T) {
+	Reset()
+	get := func(k Key) *image {
+		t.Helper()
+		art, err := Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art.img
+	}
+	base := testKey(compiler.NormalBranch)
+	img := get(base)
+	other := testKey(compiler.WishJumpJoinLoop)
+	other.Thresholds.WishJump++
+	if get(other) != img {
+		t.Error("artifacts of one workload that differ in variant and thresholds got distinct images")
+	}
+	for i, k := range []Key{
+		func() Key { k := base; k.Input = workload.InputB; return k }(),
+		func() Key { k := base; k.Scale = 0.1; return k }(),
+		func() Key { k := base; k.Bench = "mcf"; return k }(),
+	} {
+		if get(k) == img {
+			t.Errorf("key %d: a different workload shares the base image", i)
+		}
+	}
+}
+
 // TestArtifactSharedProgramRaceFree is the -race half of the
 // immutability audit: many concurrent CPUs (different machine
 // configurations, including the select-µop lowering) simulate one
@@ -173,14 +207,24 @@ func TestArtifactSharedProgramRaceFree(t *testing.T) {
 }
 
 // TestArtifactMutationGuard is the fingerprint half of the audit:
-// simulate every variant of a bench off the cache, then re-verify
-// every cached artifact against its construction-time fingerprint.
-// The negative case proves the fingerprint actually detects mutations.
+// simulate every variant of gzip and of mcf (whose pointer-chase image
+// is the largest shared memory image) off the cache, then re-verify
+// every cached artifact — program and memory image — against its
+// construction-time fingerprints. A store that reached a shared image
+// page instead of the simulation's private copy fails here. The
+// negative case proves the program fingerprint detects mutations (the
+// image fingerprint's is emu.TestImageFingerprintSensitive).
 func TestArtifactMutationGuard(t *testing.T) {
 	Reset()
 	var arts []*Artifact
+	var keys []Key
 	for _, v := range compiler.Variants() {
-		art, err := Get(testKey(v))
+		mcf := testKey(v)
+		mcf.Bench = "mcf"
+		keys = append(keys, testKey(v), mcf)
+	}
+	for _, k := range keys {
+		art, err := Get(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,6 +238,31 @@ func TestArtifactMutationGuard(t *testing.T) {
 			}
 		}
 		arts = append(arts, art)
+	}
+	// The benchmarks never store to their initialized data, so drive
+	// the copy-on-write path directly: a program that overwrites mcf's
+	// head-pointer cell and a bucket on each of 16 pages, run on mcf's
+	// image.
+	mcf := arts[1]
+	storeProg := func() *prog.Program {
+		b := prog.NewBuilder()
+		b.Emit(isa.MovI(2, -1), isa.MovI(1, 1<<22), isa.Store(1, 0, 2)) // auxBase: the head pointer
+		for page := int64(0); page < 16; page++ {
+			b.Emit(isa.MovI(1, 1<<23+page*4096), isa.Store(1, 0, 2)) // hashBase: buckets
+		}
+		b.Emit(isa.Halt())
+		return b.MustFinish()
+	}()
+	c, err := cpu.New(config.DefaultMachine(), storeProg, mcf.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.ArchState().Mem.Footprint()
+	if _, err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if mem := c.ArchState().Mem; mem.Footprint() != before || mem.Load(1<<23) != -1 {
+		t.Fatal("the store program did not overwrite image pages; the guard below tests nothing")
 	}
 	for i, art := range arts {
 		if err := art.Verify(); err != nil {

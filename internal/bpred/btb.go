@@ -13,12 +13,13 @@ type BTBEntry struct {
 }
 
 // BTB is a set-associative branch target buffer with LRU replacement.
+// Its tables are flat, indexed set*ways+way, as cache.Cache's are.
 type BTB struct {
 	ways    int
 	setMask uint64
-	tags    [][]uint64 // 0 = invalid; stored as pc+1
-	data    [][]BTBEntry
-	lru     [][]uint32
+	tags    []uint64 // 0 = invalid; stored as pc+1
+	data    []BTBEntry
+	lru     []uint32
 	clock   uint32
 
 	Lookups, Hits uint64
@@ -31,28 +32,35 @@ func NewBTB(entries, ways int) *BTB {
 		panic("bpred: BTB entries must be a power of two divisible by ways")
 	}
 	sets := entries / ways
-	b := &BTB{ways: ways, setMask: uint64(sets - 1)}
-	b.tags = make([][]uint64, sets)
-	b.data = make([][]BTBEntry, sets)
-	b.lru = make([][]uint32, sets)
-	for i := range b.tags {
-		b.tags[i] = make([]uint64, ways)
-		b.data[i] = make([]BTBEntry, ways)
-		b.lru[i] = make([]uint32, ways)
+	return &BTB{
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		tags:    make([]uint64, entries),
+		data:    make([]BTBEntry, entries),
+		lru:     make([]uint32, entries),
 	}
-	return b
+}
+
+// Reset restores the just-constructed state: every entry invalid and
+// the counters zero.
+func (b *BTB) Reset() {
+	clear(b.tags)
+	clear(b.data)
+	clear(b.lru)
+	b.clock = 0
+	b.Lookups, b.Hits = 0, 0
 }
 
 // Lookup returns the entry for the branch at pc, if present.
 func (b *BTB) Lookup(pc uint64) (BTBEntry, bool) {
 	b.Lookups++
-	set := pc & b.setMask
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == pc+1 {
+	base := int(pc&b.setMask) * b.ways
+	for i := base; i < base+b.ways; i++ {
+		if b.tags[i] == pc+1 {
 			b.clock++
-			b.lru[set][w] = b.clock
+			b.lru[i] = b.clock
 			b.Hits++
-			return b.data[set][w], true
+			return b.data[i], true
 		}
 	}
 	return BTBEntry{}, false
@@ -61,25 +69,25 @@ func (b *BTB) Lookup(pc uint64) (BTBEntry, bool) {
 // Insert installs or updates the entry for pc, evicting LRU on
 // conflict.
 func (b *BTB) Insert(pc uint64, e BTBEntry) {
-	set := pc & b.setMask
-	victim := 0
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == pc+1 {
-			victim = w
+	base := int(pc&b.setMask) * b.ways
+	victim := base
+	for i := base; i < base+b.ways; i++ {
+		if b.tags[i] == pc+1 {
+			victim = i
 			break
 		}
-		if b.tags[set][w] == 0 {
-			victim = w
+		if b.tags[i] == 0 {
+			victim = i
 			break
 		}
-		if b.lru[set][w] < b.lru[set][victim] {
-			victim = w
+		if b.lru[i] < b.lru[victim] {
+			victim = i
 		}
 	}
 	b.clock++
-	b.tags[set][victim] = pc + 1
-	b.data[set][victim] = e
-	b.lru[set][victim] = b.clock
+	b.tags[victim] = pc + 1
+	b.data[victim] = e
+	b.lru[victim] = b.clock
 }
 
 // RAS is a fixed-depth return address stack with overwrite-on-overflow
@@ -126,7 +134,7 @@ func (r *RAS) Restore(top, val int) {
 // indexed by PC XORed with global history (the paper's 64K-entry
 // indirect target cache).
 type IndirectCache struct {
-	targets []int
+	targets []int32 // target+1; 0 = no target learned
 	mask    uint64
 }
 
@@ -135,21 +143,20 @@ func NewIndirectCache(entries int) *IndirectCache {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: indirect cache entries must be a power of two")
 	}
-	t := make([]int, entries)
-	for i := range t {
-		t[i] = -1
-	}
-	return &IndirectCache{targets: t, mask: uint64(entries - 1)}
+	return &IndirectCache{targets: make([]int32, entries), mask: uint64(entries - 1)}
 }
+
+// Reset forgets every learned target.
+func (c *IndirectCache) Reset() { clear(c.targets) }
 
 // Lookup predicts the target for the indirect branch at pc under
 // history hist; ok is false if no target has been learned.
 func (c *IndirectCache) Lookup(pc, hist uint64) (int, bool) {
-	t := c.targets[(pc^hist)&c.mask]
+	t := int(c.targets[(pc^hist)&c.mask]) - 1
 	return t, t >= 0
 }
 
-// Update learns the actual target.
+// Update learns the actual target, a µop index.
 func (c *IndirectCache) Update(pc, hist uint64, target int) {
-	c.targets[(pc^hist)&c.mask] = target
+	c.targets[(pc^hist)&c.mask] = int32(target + 1)
 }

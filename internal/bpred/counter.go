@@ -31,8 +31,18 @@ func (c ctr2) update(taken bool) ctr2 {
 // newCtrTable returns n weakly-taken counters.
 func newCtrTable(n int) []ctr2 {
 	t := make([]ctr2, n)
-	for i := range t {
-		t[i] = 2
-	}
+	fillWeakTaken(t)
 	return t
+}
+
+// fillWeakTaken sets every counter of t to weakly taken, doubling a
+// filled prefix with copy so a 64K-entry table fills by memmove.
+func fillWeakTaken(t []ctr2) {
+	if len(t) == 0 {
+		return
+	}
+	t[0] = 2
+	for n := 1; n < len(t); n *= 2 {
+		copy(t[n:], t[:n])
+	}
 }

@@ -79,6 +79,18 @@ func NewHybrid(cfg HybridConfig) *Hybrid {
 	}
 }
 
+// Reset restores the just-constructed state: weakly-taken counters,
+// empty histories, zero statistics.
+func (h *Hybrid) Reset() {
+	fillWeakTaken(h.gshare)
+	fillWeakTaken(h.pasPHT)
+	fillWeakTaken(h.selector)
+	clear(h.pasLocal)
+	clear(h.pasSpec)
+	h.specHist = 0
+	h.Commits, h.Correct = 0, 0
+}
+
 func (h *Hybrid) gshareIdx(pc uint64, hist uint64) int {
 	return int((pc ^ hist) & uint64(h.cfg.GsharePHTEntries-1))
 }

@@ -100,6 +100,18 @@ func New(cfg Config, next backend) *Cache {
 	return c
 }
 
+// Reset restores the just-constructed state: every line invalid, every
+// bank free, the statistics zero. The level below is not touched.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.dirty)
+	clear(c.lru)
+	clear(c.ready)
+	clear(c.bankFree)
+	c.clock = 0
+	c.Stats = Stats{}
+}
+
 // Access looks up addr starting at the given cycle and returns the
 // absolute cycle the data is available. Writes allocate like reads and
 // mark the line dirty (write-back); dirty evictions are charged to the
@@ -202,6 +214,9 @@ func NewMemory() *Memory {
 	return &Memory{MinLatency: 300, Banks: 32, BankBusy: 64, BusCycles: 8}
 }
 
+// Reset restores the Table 2 memory model as NewMemory builds it.
+func (m *Memory) Reset() { *m = *NewMemory() }
+
 func (m *Memory) fill(addr uint64, cycle uint64) uint64 {
 	m.Stats.Accesses++
 	m.Stats.Misses++
@@ -259,6 +274,14 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		L2:  l2,
 		Mem: mem,
 	}
+}
+
+// Reset restores the just-built state of every level.
+func (h *Hierarchy) Reset() {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
+	h.Mem.Reset()
 }
 
 // AccessI fetches instruction bytes at addr; returns data-ready cycle.

@@ -118,6 +118,16 @@ func NewJRS(cfg JRSConfig) *JRS {
 	}
 }
 
+// Reset restores the just-constructed state: every entry invalid and
+// the counters zero.
+func (j *JRS) Reset() {
+	clear(j.tags)
+	clear(j.ctrs)
+	clear(j.lru)
+	j.clock = 0
+	j.Lookups, j.HighConf = 0, 0
+}
+
 func (j *JRS) index(pc, hist uint64) (set uint64, tag uint64) {
 	h := hist & (1<<uint(j.cfg.HistoryBits) - 1)
 	set = (pc ^ h) & j.setMask

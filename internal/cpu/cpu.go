@@ -40,7 +40,11 @@ import (
 )
 
 // CPU simulates one program on one machine configuration. Create with
-// New and call Run once.
+// New and call Run once. When the program halts, the CPU hands its
+// hardware tables back for the next New to reuse (recycle.go): the
+// returned Result owns all its data, and ArchState still works, but
+// the CPU cannot run again. A run stopped by cancellation or the cycle
+// limit keeps its hardware, so it can be resumed.
 type CPU struct {
 	cfg  *config.Machine
 	prog *prog.Program
@@ -49,13 +53,14 @@ type CPU struct {
 	shadow    *emu.Shadow // active while fetching a wrong path
 	shadowBuf *emu.Shadow // reusable shadow storage (one wrong path at a time)
 
-	hier *cache.Hierarchy
-	bp   *bpred.Hybrid
-	btb  *bpred.BTB
-	ras  *bpred.RAS
-	itc  *bpred.IndirectCache
-	jrs  *conf.JRS
-	lp   *bpred.LoopPredictor
+	hier   *cache.Hierarchy
+	bp     *bpred.Hybrid
+	btb    *bpred.BTB
+	ras    *bpred.RAS
+	itc    *bpred.IndirectCache
+	jrs    *conf.JRS
+	lp     *bpred.LoopPredictor
+	hwKeys hwKeys // what hier, bp, btb, itc and jrs were built for
 
 	cycle uint64
 	seq   uint64
@@ -115,7 +120,7 @@ type CPU struct {
 	// (multiplies, divides, cache misses).
 	nextComp []compEvent
 
-	pool      uopPool
+	pool      *uopPool
 	resolved  []*uop // scratch for completions' resolve batch
 	squashBuf []*uop // scratch for flush's squashed-window batch
 	skipOff   bool   // disable event-driven cycle skipping (reference mode)
@@ -167,12 +172,7 @@ func New(cfg *config.Machine, p *prog.Program, init func(*emu.Memory)) (*CPU, er
 		cfg:           cfg,
 		prog:          p,
 		st:            st,
-		hier:          cache.NewHierarchy(cfg.Caches),
-		bp:            bpred.NewHybrid(cfg.Hybrid),
-		btb:           bpred.NewBTB(cfg.BTBEntries, cfg.BTBWays),
 		ras:           bpred.NewRAS(cfg.RASDepth),
-		itc:           bpred.NewIndirectCache(cfg.IndirectEntries),
-		jrs:           conf.NewJRS(cfg.JRS),
 		mode:          ModeNormal,
 		lowConfTarget: -1,
 		lowConfLoopPC: -1,
@@ -183,6 +183,7 @@ func New(cfg *config.Machine, p *prog.Program, init func(*emu.Memory)) (*CPU, er
 		storeWriter:   newStoreTab(cfg.ROBSize),
 		brTab:         obs.NewBranchTableN(len(p.Code)),
 	}
+	c.acquire(cfg)
 	if cfg.UseLoopPredictor {
 		c.lp = bpred.NewLoopPredictor(cfg.LoopPredEntries)
 		c.lp.Bias = cfg.LoopPredictorBias

@@ -27,6 +27,9 @@ const cancelCheckInterval = 1 << 15
 // before the context fires returns a result bit-identical to Run's
 // (TestRunContextEquivalence).
 func (c *CPU) RunContext(ctx context.Context, maxCycles uint64) (*Result, error) {
+	if c.hier == nil {
+		panic("cpu: Run on a halted CPU: its hardware has been recycled")
+	}
 	done := ctx.Done()
 	if maxCycles == 0 {
 		maxCycles = 1 << 40
@@ -58,7 +61,11 @@ func (c *CPU) RunContext(ctx context.Context, maxCycles uint64) (*Result, error)
 
 // stop ends a run — halted, truncated, or cancelled — by flattening the
 // end-of-run statistics into the result (cycle count, cache totals and
-// the sorted per-branch attribution table) and returning it with err.
+// the sorted per-branch attribution table) and returning a copy with
+// err. The copy owns all its data, so whoever keeps the result (a memo
+// table, a store, a journal) does not keep the CPU alive. A halted CPU
+// then releases its hardware for reuse; a truncated or cancelled one
+// keeps it and can be resumed.
 func (c *CPU) stop(err error) (*Result, error) {
 	c.res.Cycles = c.cycle
 	c.res.L1I = c.hier.L1I.Stats
@@ -66,5 +73,10 @@ func (c *CPU) stop(err error) (*Result, error) {
 	c.res.L2 = c.hier.L2.Stats
 	c.res.Mem = c.hier.Mem.Stats
 	c.res.Branches = c.brTab.Sorted()
-	return &c.res, err
+	res := new(Result)
+	*res = c.res
+	if c.res.Halted {
+		c.release()
+	}
+	return res, err
 }

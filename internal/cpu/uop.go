@@ -143,6 +143,11 @@ type uopPool struct {
 	free []*uop
 }
 
+// Reset makes a recycled free list ready for a new CPU. There is
+// nothing to do: get resets each µop as it hands it out, so a µop of
+// an earlier simulation is indistinguishable from a fresh one.
+func (p *uopPool) Reset() {}
+
 func (p *uopPool) get() *uop {
 	n := len(p.free)
 	if n == 0 {

@@ -1,8 +1,11 @@
 package lab
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"wishbranch/internal/compiler"
@@ -26,6 +29,9 @@ func TestKeyedMatchesKey(t *testing.T) {
 		{}, // even an ill-formed spec has a computable key
 	}
 	for i, s := range specs {
+		if got, want := s.Key(), fmtKey(s); got != want {
+			t.Errorf("spec %d: key bytes moved:\n got %q\nwant %q", i, got, want)
+		}
 		k := s.Keyed()
 		if k.Key != s.Key() {
 			t.Errorf("spec %d: cached key %q != live Key() %q", i, k.Key, s.Key())
@@ -40,6 +46,40 @@ func TestKeyedMatchesKey(t *testing.T) {
 		if k.Spec != s {
 			t.Errorf("spec %d: Keyed dropped or altered the spec", i)
 		}
+	}
+}
+
+// fmtKey is the key format as first written with fmt. Store records
+// and the benchmark's pinned digests are addressed by the key's hash,
+// so the appending builder must reproduce it byte for byte.
+func fmtKey(s Spec) string {
+	return fmt.Sprintf("v%d|bench=%s|input=%d|variant=%d|scale=%s|maxcycles=%d|N=%d|L=%d|machine=%s",
+		SchemaVersion, s.Bench, int(s.Input), int(s.Variant),
+		strconv.FormatFloat(s.Scale, 'g', -1, 64), s.MaxCycles,
+		s.Thresholds.WishJump, s.Thresholds.WishLoop, MachineSig(s.Machine))
+}
+
+// TestMemoHitZeroAlloc: a warm ResultContext — key, memo probe, wait
+// on the finished entry — allocates nothing. The key is built into a
+// stack buffer and the store hash is computed on a miss only.
+func TestMemoHitZeroAlloc(t *testing.T) {
+	l := New()
+	s := testSpec()
+	s.Scale = 0.02
+	want, err := l.Result(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(200, func() {
+		if got, err := l.ResultContext(ctx, s); err != nil || got != want {
+			t.Fatalf("memo hit returned %p, %v; want %p", got, err, want)
+		}
+	}); n != 0 {
+		t.Errorf("memo hit allocates %v objects per run, want 0", n)
+	}
+	if c := l.Counters(); c.Fresh != 1 {
+		t.Errorf("counters = %+v, want exactly one fresh run", c)
 	}
 }
 

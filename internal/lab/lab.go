@@ -137,8 +137,45 @@ func (l *Lab) Result(s Spec) (*cpu.Result, error) {
 // not memoized: its entry is removed so later requests re-simulate,
 // and concurrent waiters whose own context is still live retry as the
 // new producer instead of inheriting the cancellation.
+//
+// The memo probe needs only the key: it is built into a stack buffer
+// and the SHA-256 store address is computed on a miss only, so a memo
+// hit allocates nothing (TestMemoHitZeroAlloc).
 func (l *Lab) ResultContext(ctx context.Context, s Spec) (*cpu.Result, error) {
+	var buf [keyBufSize]byte
+	key := s.appendKey(buf[:0])
+	l.mu.Lock()
+	e, ok := l.entries[string(key)]
+	if ok {
+		l.c.MemHits++
+	}
+	l.mu.Unlock()
+	if !ok {
+		k := string(key)
+		return l.ResultKeyed(ctx, Keyed{Spec: s, Key: k, Hash: hashKey(k)})
+	}
+	if res, err := await(ctx, s, e); err != errRetry {
+		return res, err
+	}
 	return l.ResultKeyed(ctx, s.Keyed())
+}
+
+// errRetry is await's report that an entry's producer was cancelled
+// while the caller's context is still live: the caller retries as the
+// new producer rather than inheriting the cancellation.
+var errRetry = errors.New("lab: producer cancelled; retry")
+
+// await waits for a memo entry of spec s and returns its outcome.
+func await(ctx context.Context, s Spec, e *entry) (*cpu.Result, error) {
+	select {
+	case <-e.done:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("lab: %s: %w", s, ctx.Err())
+	}
+	if e.removed && ctx.Err() == nil {
+		return nil, errRetry // producer was cancelled, not the spec's fault
+	}
+	return e.res, e.err
 }
 
 // ResultKeyed is ResultContext for callers that already computed the
@@ -154,15 +191,10 @@ func (l *Lab) ResultKeyed(ctx context.Context, k Keyed) (*cpu.Result, error) {
 		if e, ok := l.entries[k.Key]; ok {
 			l.c.MemHits++
 			l.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("lab: %s: %w", k.Spec, ctx.Err())
+			if res, err := await(ctx, k.Spec, e); err != errRetry {
+				return res, err
 			}
-			if e.removed && ctx.Err() == nil {
-				continue // producer was cancelled, not the spec's fault
-			}
-			return e.res, e.err
+			continue
 		}
 		e := &entry{done: make(chan struct{})}
 		l.entries[k.Key] = e

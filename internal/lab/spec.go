@@ -85,13 +85,36 @@ func (s Spec) Validate() error {
 // Key returns the complete, versioned signature of the spec. Equal
 // keys ⇒ identical simulation results.
 func (s Spec) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|bench=%s|input=%d|variant=%d|scale=%s|maxcycles=%d|N=%d|L=%d|machine=",
-		SchemaVersion, s.Bench, int(s.Input), int(s.Variant),
-		strconv.FormatFloat(s.Scale, 'g', -1, 64), s.MaxCycles,
-		s.Thresholds.WishJump, s.Thresholds.WishLoop)
-	b.WriteString(MachineSig(s.Machine))
-	return b.String()
+	var buf [keyBufSize]byte
+	return string(s.appendKey(buf[:0]))
+}
+
+// keyBufSize is the stack buffer keys are built in: room for the
+// default machine's key (about 800 bytes) with margin. A longer key
+// still works; it just allocates.
+const keyBufSize = 2048
+
+// appendKey appends the spec's Key to b. The memo probe builds keys
+// this way into a stack buffer, so a memo hit allocates nothing.
+func (s Spec) appendKey(b []byte) []byte {
+	b = append(b, 'v')
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	b = append(b, "|bench="...)
+	b = append(b, s.Bench...)
+	b = append(b, "|input="...)
+	b = strconv.AppendInt(b, int64(s.Input), 10)
+	b = append(b, "|variant="...)
+	b = strconv.AppendInt(b, int64(s.Variant), 10)
+	b = append(b, "|scale="...)
+	b = strconv.AppendFloat(b, s.Scale, 'g', -1, 64)
+	b = append(b, "|maxcycles="...)
+	b = strconv.AppendUint(b, s.MaxCycles, 10)
+	b = append(b, "|N="...)
+	b = strconv.AppendInt(b, int64(s.Thresholds.WishJump), 10)
+	b = append(b, "|L="...)
+	b = strconv.AppendInt(b, int64(s.Thresholds.WishLoop), 10)
+	b = append(b, "|machine="...)
+	return append(b, MachineSig(s.Machine)...)
 }
 
 // Hash returns the SHA-256 of the key, the store's content address.
@@ -217,22 +240,33 @@ func (s Spec) String() string {
 // in a different slot — while a campaign's handful of distinct
 // machines each reflect exactly once per process instead of once per
 // key computation (the dominant cost of a fully store-warm campaign).
+// The cache is a typed map, so a probe hashes the value in place
+// rather than boxing it.
 func MachineSig(m *config.Machine) string {
 	if m == nil {
 		// An ill-formed spec; Validate rejects it before simulation,
 		// but its key must still be computable (e.g. for error paths).
 		return "nil"
 	}
-	if s, ok := sigCache.Load(*m); ok {
-		return s.(string)
+	sigMu.RLock()
+	s, ok := sigs[*m]
+	sigMu.RUnlock()
+	if ok {
+		return s
 	}
 	var b strings.Builder
 	encodeValue(&b, reflect.ValueOf(m).Elem())
-	s, _ := sigCache.LoadOrStore(*m, b.String())
-	return s.(string)
+	s = b.String()
+	sigMu.Lock()
+	sigs[*m] = s
+	sigMu.Unlock()
+	return s
 }
 
-var sigCache sync.Map // config.Machine → string
+var (
+	sigMu sync.RWMutex
+	sigs  = map[config.Machine]string{}
+)
 
 func encodeValue(b *strings.Builder, v reflect.Value) {
 	switch v.Kind() {
